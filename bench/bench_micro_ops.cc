@@ -1,12 +1,13 @@
 // Micro-benchmarks (google-benchmark) for the core operations on the IPA
 // hot paths: page diffing, delta-record encode/apply, slotted-page ops,
-// ECC, emulated flash commands and B+tree point operations.
+// CRC32C, ECC, emulated flash commands and B+tree point operations.
 
 #include <benchmark/benchmark.h>
 
 #include <cstring>
 #include <vector>
 
+#include "common/crc32.h"
 #include "common/random.h"
 #include "core/write_policy.h"
 #include "engine/btree.h"
@@ -150,6 +151,26 @@ void BM_SlottedPageInsert(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SlottedPageInsert);
+
+// Crc32c kernels at a WAL record (64 B) and a page (4096 B).
+template <uint32_t (*Kernel)(const uint8_t*, size_t, uint32_t)>
+void BM_Crc32c(benchmark::State& state) {
+  if (Kernel == &detail::Crc32cHardware && !detail::Crc32cHardwareAvailable()) {
+    state.SkipWithError("CPU lacks SSE4.2 CRC32");
+    return;
+  }
+  std::vector<uint8_t> buf(static_cast<size_t>(state.range(0)));
+  Rng rng(1);
+  for (auto& b : buf) b = static_cast<uint8_t>(rng.Next());
+  uint32_t crc = 0;
+  for (auto _ : state) {
+    crc = Kernel(buf.data(), buf.size(), crc);
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
+}
+BENCHMARK_TEMPLATE(BM_Crc32c, detail::Crc32cPortable)->Arg(64)->Arg(4096);
+BENCHMARK_TEMPLATE(BM_Crc32c, detail::Crc32cHardware)->Arg(64)->Arg(4096);
 
 void BM_EccEncodePage(benchmark::State& state) {
   std::vector<uint8_t> page(kPageSize);

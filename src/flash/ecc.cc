@@ -1,5 +1,6 @@
 #include "flash/ecc.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -7,33 +8,65 @@ namespace ipa::flash {
 
 namespace {
 
-inline uint8_t Parity8(uint8_t b) {
-  return static_cast<uint8_t>(std::popcount(static_cast<unsigned>(b)) & 1);
+struct EccTables {
+  std::array<uint8_t, 256> parity{};      // parity of the byte
+  std::array<uint8_t, 256> col_parity{};  // CP0..CP5 of the byte
+};
+
+constexpr uint8_t Parity8(unsigned b) {
+  return static_cast<uint8_t>(std::popcount(b) & 1);
+}
+
+// CPk is the parity of the bits of every byte selected by kColumnMasks[k].
+constexpr uint8_t kColumnMasks[6] = {0x55, 0xAA, 0x33, 0xCC, 0x0F, 0xF0};
+
+constexpr EccTables MakeEccTables() {
+  EccTables t;
+  for (unsigned b = 0; b < 256; b++) {
+    t.parity[b] = Parity8(b);
+    for (unsigned k = 0; k < 6; k++) {
+      t.col_parity[b] |= static_cast<uint8_t>(Parity8(b & kColumnMasks[k]) << k);
+    }
+  }
+  return t;
+}
+
+constexpr EccTables kEccTables = MakeEccTables();
+
+// Moves bit k of an 8-bit value to bit 2k.
+constexpr uint16_t SpreadBits(unsigned x) {
+  x = (x | (x << 4)) & 0x0F0F;
+  x = (x | (x << 2)) & 0x3333;
+  x = (x | (x << 1)) & 0x5555;
+  return static_cast<uint16_t>(x);
 }
 
 }  // namespace
 
 std::array<uint8_t, kEccBytesPerSegment> EccEncode(const uint8_t* data, size_t len) {
   // Classic SmartMedia 22-bit Hamming code: 16 line-parity bits over the byte
-  // address, 6 column-parity bits over the bit position.
-  uint16_t lp = 0;  // bit 2k = LP2k (address bit k == 0), bit 2k+1 = LP2k+1
-  uint8_t cp = 0;   // bits 0..5 = CP0..CP5
-
-  for (size_t i = 0; i < kEccSegment; i++) {
-    uint8_t b = (i < len) ? data[i] : 0;
-    if (Parity8(b)) {
-      for (unsigned k = 0; k < 8; k++) {
-        unsigned bit = ((i >> k) & 1) ? (2 * k + 1) : (2 * k);
-        lp ^= static_cast<uint16_t>(1u << bit);
-      }
-    }
-    cp ^= static_cast<uint8_t>(Parity8(b & 0x55) << 0);
-    cp ^= static_cast<uint8_t>(Parity8(b & 0xAA) << 1);
-    cp ^= static_cast<uint8_t>(Parity8(b & 0x33) << 2);
-    cp ^= static_cast<uint8_t>(Parity8(b & 0xCC) << 3);
-    cp ^= static_cast<uint8_t>(Parity8(b & 0x0F) << 4);
-    cp ^= static_cast<uint8_t>(Parity8(b & 0xF0) << 5);
+  // address, 6 column-parity bits over the bit position. Both are linear, so
+  // one pass folds the segment into three values:
+  //   - the XOR of all bytes, whose column parity is CP0..CP5;
+  //   - the XOR of the addresses of the odd-parity bytes, whose bit k is
+  //     LP2k+1 (odd-parity bytes with address bit k set);
+  //   - the parity of the number of odd-parity bytes, which XORed with LP2k+1
+  //     gives LP2k (odd-parity bytes with address bit k clear).
+  // Zero padding past `len` changes none of them.
+  len = std::min(len, kEccSegment);
+  unsigned all = 0;
+  unsigned odd_addr = 0;
+  unsigned odd_count = 0;
+  for (size_t i = 0; i < len; i++) {
+    unsigned odd = kEccTables.parity[data[i]];
+    all ^= data[i];
+    odd_addr ^= static_cast<unsigned>(i) & (0u - odd);
+    odd_count ^= odd;
   }
+  // bit 2k = LP2k, bit 2k+1 = LP2k+1
+  const unsigned even = odd_addr ^ (odd_count ? 0xFFu : 0u);
+  const uint16_t lp = static_cast<uint16_t>(SpreadBits(odd_addr) << 1 | SpreadBits(even));
+  const uint8_t cp = kEccTables.col_parity[all];
 
   std::array<uint8_t, 3> ecc;
   ecc[0] = static_cast<uint8_t>(lp & 0xFF);

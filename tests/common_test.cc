@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include "common/crc32.h"
 #include "common/random.h"
@@ -189,6 +191,77 @@ TEST(Crc32Test, KnownVectorsAndSensitivity) {
   uint8_t tweaked[] = "123456780";
   EXPECT_NE(Crc32c(tweaked, 9), Crc32c(data, 9));
   EXPECT_EQ(Crc32c(data, 0), 0u);
+}
+
+// Computed during static initialization, in whatever order the linker put
+// the translation units: the tables and the kernel choice must be ready.
+const uint32_t kCrcAtStaticInit = Crc32c(reinterpret_cast<const uint8_t*>("123456789"), 9);
+
+TEST(Crc32Test, UsableFromStaticInitializer) {
+  EXPECT_EQ(kCrcAtStaticInit, 0xE3069283u);
+}
+
+// RFC 3720 (iSCSI) appendix B.4 test vectors.
+TEST(Crc32Test, Rfc3720Vectors) {
+  std::vector<uint8_t> buf(32, 0x00);
+  EXPECT_EQ(Crc32c(buf.data(), buf.size()), 0x8A9136AAu);
+  std::fill(buf.begin(), buf.end(), 0xFF);
+  EXPECT_EQ(Crc32c(buf.data(), buf.size()), 0x62A8AB43u);
+  for (size_t i = 0; i < 32; i++) buf[i] = static_cast<uint8_t>(i);
+  EXPECT_EQ(Crc32c(buf.data(), buf.size()), 0x46DD794Eu);
+  for (size_t i = 0; i < 32; i++) buf[i] = static_cast<uint8_t>(31 - i);
+  EXPECT_EQ(Crc32c(buf.data(), buf.size()), 0x113FDB5Cu);
+}
+
+// Bit-at-a-time CRC32-C straight from the polynomial: the oracle for both
+// kernels.
+uint32_t BitwiseCrc32c(const uint8_t* data, size_t len, uint32_t seed) {
+  uint32_t crc = ~seed;
+  for (size_t i = 0; i < len; i++) {
+    crc ^= data[i];
+    for (int k = 0; k < 8; k++) crc = (crc & 1) ? (crc >> 1) ^ 0x82F63B78u : crc >> 1;
+  }
+  return ~crc;
+}
+
+// Every length 0..1100 plus page-sized ones, at every misalignment of an
+// 8-byte word, from three seeds.
+void ExpectKernelMatchesBitwise(uint32_t (*kernel)(const uint8_t*, size_t, uint32_t)) {
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 1100; n++) lengths.push_back(n);
+  for (size_t n : {4095u, 4096u, 4097u, 8192u}) lengths.push_back(n);
+  Rng rng(7);
+  std::vector<uint8_t> buf(8192 + 8);
+  for (auto& b : buf) b = static_cast<uint8_t>(rng.Next());
+  for (uint32_t seed : {0u, 1u, 0xFFFFFFFFu}) {
+    for (size_t off = 0; off < 8; off++) {
+      for (size_t n : lengths) {
+        const uint8_t* p = buf.data() + off;
+        ASSERT_EQ(kernel(p, n, seed), BitwiseCrc32c(p, n, seed))
+            << "len " << n << " offset " << off << " seed " << seed;
+      }
+    }
+  }
+}
+
+TEST(Crc32Test, PortableKernelMatchesBitwise) {
+  ExpectKernelMatchesBitwise(detail::Crc32cPortable);
+}
+
+TEST(Crc32Test, HardwareKernelMatchesBitwise) {
+  if (!detail::Crc32cHardwareAvailable()) GTEST_SKIP() << "no SSE4.2 CRC32";
+  ExpectKernelMatchesBitwise(detail::Crc32cHardware);
+}
+
+TEST(Crc32Test, SplitChaining) {
+  Rng rng(11);
+  std::vector<uint8_t> buf(4096 + 13);
+  for (auto& b : buf) b = static_cast<uint8_t>(rng.Next());
+  const uint32_t whole = Crc32c(buf.data(), buf.size());
+  for (size_t cut : {0u, 1u, 7u, 8u, 9u, 100u, 4096u, 4109u}) {
+    EXPECT_EQ(Crc32c(buf.data() + cut, buf.size() - cut, Crc32c(buf.data(), cut)), whole)
+        << "cut " << cut;
+  }
 }
 
 TEST(FormatTest, Thousands) {

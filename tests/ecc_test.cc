@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <vector>
 
 #include "common/random.h"
@@ -80,6 +81,60 @@ TEST(EccTest, RegionCorrectsOneErrorPerSegment) {
             EccResult::kCorrected);
   EXPECT_EQ(corrected, 3u);
   EXPECT_EQ(data, orig);
+}
+
+// The bitwise encoder EccEncode replaced, kept as the oracle for its tables.
+std::array<uint8_t, kEccBytesPerSegment> BitwiseEccEncode(const uint8_t* data, size_t len) {
+  auto parity = [](unsigned b) { return static_cast<unsigned>(__builtin_popcount(b) & 1); };
+  uint16_t lp = 0;
+  uint8_t cp = 0;
+  for (size_t i = 0; i < kEccSegment; i++) {
+    uint8_t b = (i < len) ? data[i] : 0;
+    if (parity(b)) {
+      for (unsigned k = 0; k < 8; k++) {
+        unsigned bit = ((i >> k) & 1) ? (2 * k + 1) : (2 * k);
+        lp ^= static_cast<uint16_t>(1u << bit);
+      }
+    }
+    cp ^= static_cast<uint8_t>(parity(b & 0x55) << 0 | parity(b & 0xAA) << 1 |
+                               parity(b & 0x33) << 2 | parity(b & 0xCC) << 3 |
+                               parity(b & 0x0F) << 4 | parity(b & 0xF0) << 5);
+  }
+  return {static_cast<uint8_t>(lp & 0xFF), static_cast<uint8_t>(lp >> 8),
+          static_cast<uint8_t>(cp | 0xC0)};
+}
+
+TEST(EccTest, TableEncoderMatchesBitwise) {
+  Rng rng(5);
+  // Random whole pages, segment by segment.
+  for (int page = 0; page < 64; page++) {
+    auto data = RandomSegment(rng, 4096);
+    for (size_t off = 0; off < data.size(); off += kEccSegment) {
+      ASSERT_EQ(EccEncode(data.data() + off, kEccSegment),
+                BitwiseEccEncode(data.data() + off, kEccSegment))
+          << "page " << page << " offset " << off;
+    }
+  }
+  // Every segment length, including the zero-padded short ones.
+  for (size_t len = 1; len <= kEccSegment; len++) {
+    for (int rep = 0; rep < 4; rep++) {
+      auto data = RandomSegment(rng, len);
+      ASSERT_EQ(EccEncode(data.data(), len), BitwiseEccEncode(data.data(), len))
+          << "len " << len;
+    }
+  }
+  // Erased-looking pages: mostly 0xFF with a few programmed bytes.
+  for (int page = 0; page < 64; page++) {
+    std::vector<uint8_t> data(4096, 0xFF);
+    for (int k = 0; k < page; k++) {
+      data[rng.Next() % data.size()] = static_cast<uint8_t>(rng.Next());
+    }
+    for (size_t off = 0; off < data.size(); off += kEccSegment) {
+      ASSERT_EQ(EccEncode(data.data() + off, kEccSegment),
+                BitwiseEccEncode(data.data() + off, kEccSegment))
+          << "0xFF page " << page << " offset " << off;
+    }
+  }
 }
 
 // Property sweep: every single-bit flip in a 256B segment is corrected.
